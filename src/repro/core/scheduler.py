@@ -1,5 +1,24 @@
 """Data block scheduling (paper §6.2) — UniDrive's networking core.
 
+Uploads and downloads share one mechanism, the private dispatch core
+(:class:`_DispatchCore`): one pull-based worker per connection asks for
+the next block when it is idle, so faster clouds naturally transfer
+more, and every completed transfer feeds the in-channel
+:class:`~repro.core.probing.ThroughputEstimator`.  The core owns
+
+* the batch index — one state per unique ``segment_id`` in
+  first-occurrence order, the segment->files index, and per-file
+  milestone countdowns (zero-segment files are stamped at the first
+  progress check);
+* the worker loop — deadline-budget check, abort, pick, then transfer
+  or wait for a progress pulse;
+* the transfer span and the settlement of every outcome: estimator,
+  breaker, dead-cloud counting, metrics, telemetry, and backoff.
+
+Each direction supplies only its policy: how to pick the next block,
+how to commit and move it, and what a completion or failure does to its
+segment state.
+
 Upload policy, per batch of files:
 
 * **Basic scheduling** — each segment's ``fair_share * N`` normal parity
@@ -12,14 +31,18 @@ Upload policy, per batch of files:
   works on the earliest file that is not yet available (k blocks per
   segment uploaded); only when all files are available does the
   *reliability-second* phase top up outstanding fair shares.
-* **Dynamic, pull-based dispatch** — workers (one per connection) ask
-  for the next block when idle, so faster clouds naturally transfer
-  more; completed transfers feed the in-channel
-  :class:`~repro.core.probing.ThroughputEstimator`.
 
 Download policy: any k blocks per segment suffice; idle connections pull
 block indices their cloud holds, never requesting more than k per
-segment, with files strictly in order.
+segment, and defer to strictly faster clouds.  With degradation on, an
+idle connection may hedge a slow in-flight fetch with a spare index.
+
+Failure rule, both directions: a ``RETRY``-classified error counts one
+failure toward ``cloud_failure_threshold``; any other error jumps the
+cloud straight to the threshold (dead for the batch) — except a
+``NotFoundError``, which only a download sees and which counts one
+per-(index, cloud) miss.  A connection backs off only after a ``RETRY``
+error that left its cloud alive.
 
 Setting ``over_provision=False`` and ``dynamic=False`` turns the
 scheduler into the RACS/DepSky-style **multi-cloud benchmark** baseline
@@ -44,7 +67,7 @@ from .metadata import SegmentRecord
 from .pipeline import BlockPipeline, block_hash
 from .placement import fair_share, fair_share_assignment, max_blocks_per_cloud
 from .probing import DOWNLOAD, UPLOAD, ThroughputEstimator
-from .retry import RETRY, RetryPolicy
+from .retry import GIVE_UP, RETRY, RetryPolicy
 
 __all__ = [
     "UploadScheduler",
@@ -56,52 +79,6 @@ __all__ = [
     "FileDownloadReport",
     "DownloadBatchReport",
 ]
-
-
-def _record_block_metrics(estimator, conn, cloud_id, direction, nbytes,
-                          is_fair, now):
-    """Per-completed-block metrics (callers guard on ``METRICS.enabled``).
-
-    ``estimator_rel_error`` compares the EWMA per-connection estimate
-    against the *raw* simulated link rate at completion time — a
-    diagnostic for estimator drift, not an exact residual, since the
-    true per-connection share also depends on concurrent transfer count.
-    """
-    METRICS.inc(
-        "bytes_up" if direction == UPLOAD else "bytes_down",
-        nbytes, cloud=cloud_id,
-    )
-    if direction == UPLOAD and not is_fair:
-        METRICS.inc("redundant_blocks", cloud=cloud_id)
-        METRICS.inc("redundant_bytes", nbytes, cloud=cloud_id)
-    engine = getattr(
-        conn, "uplink" if direction == UPLOAD else "downlink", None
-    )
-    bandwidth = getattr(engine, "bandwidth", None)
-    if bandwidth is not None:
-        true_rate = bandwidth.rate_at(now)
-        est = estimator.estimate(cloud_id, direction)
-        if true_rate > 0 and math.isfinite(est):
-            METRICS.observe(
-                "estimator_rel_error",
-                abs(est - true_rate) / true_rate,
-                direction=direction,
-            )
-
-
-def _telemetry_estimator(estimator, conn, cloud_id, direction, now):
-    """Feed estimate-vs-true-link gauges to the telemetry windows
-    (callers guard on ``TELEMETRY.enabled``)."""
-    engine = getattr(
-        conn, "uplink" if direction == UPLOAD else "downlink", None
-    )
-    bandwidth = getattr(engine, "bandwidth", None)
-    if bandwidth is None:
-        return
-    true_rate = bandwidth.rate_at(now)
-    est = estimator.estimate(cloud_id, direction)
-    if math.isfinite(est):
-        TELEMETRY.estimator(cloud_id, now, direction, est, true_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +186,495 @@ class DownloadBatchReport:
 
 
 # ---------------------------------------------------------------------------
+# The shared dispatch core
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Task:
+    """One committed block transfer."""
+
+    state: object
+    index: int
+    fair: bool = True    # upload: False for an over-provisioned extra
+    hedge: bool = False  # download: races an outrun in-flight fetch
+
+
+def _stamp(report, stamps, now: float) -> None:
+    """Set each named report timestamp that is still unset."""
+    for stamp in stamps:
+        if getattr(report, stamp) is None:
+            setattr(report, stamp, now)
+
+
+class _DispatchCore:
+    """Pull-based dispatch shared by both schedulers (paper §6.2).
+
+    A direction subclass sets :attr:`DIRECTION` and :attr:`MILESTONES`
+    and supplies the policy hooks: ``_record`` / ``_new_state`` /
+    ``_new_report`` (indexing), a regular pick passed to
+    :meth:`_run_workers`, ``_dispatch`` (commit a pick, then run
+    :meth:`_transfer`), ``_request`` (the cloud call) and ``_complete``
+    / ``_requeue`` (segment bookkeeping on success / failure).
+    """
+
+    DIRECTION: str  # UPLOAD or DOWNLOAD
+    #: ``(segment-state predicate, file-report stamp)`` pairs.  Each
+    #: predicate is monotone within a batch, so a file's stamp is set
+    #: when its countdown of unique segments reaching it hits zero.
+    MILESTONES: Tuple[Tuple[str, str], ...] = ()
+
+    def __init__(self, sim, connections, pipeline, config, estimator,
+                 dynamic, retry_policy, rng, trace_ctx, tenant, degrade,
+                 budget):
+        if not connections:
+            raise ValueError("need at least one cloud connection")
+        self.sim = sim
+        self.connections = list(connections)
+        self.cloud_ids = [c.cloud_id for c in self.connections]
+        self.pipeline = pipeline
+        self.config = config
+        self.estimator = estimator or ThroughputEstimator()
+        self.dynamic = dynamic
+        # Unified failure policy: classifies errors (fail-fast vs
+        # transient) and paces re-dispatch after transient failures.
+        # rng=None keeps the backoff schedule deterministic.
+        self.retry = retry_policy or RetryPolicy.from_config(config)
+        self.rng = rng
+        # Trace-correlation ancestry for this batch's transfer spans and
+        # tenant identity for per-tenant SLO accounting; both optional
+        # and inert unless the respective hub is enabled.
+        self.trace_ctx = trace_ctx
+        self.tenant = tenant
+        # Degradation control plane (None = disabled, the default): the
+        # breaker gate in _admits and the per-round deadline budget.
+        self._degrade = degrade
+        self._budget = budget
+        self._aborted = False
+        self._workers: List = []
+        self._start_batch(())
+
+    # -- batch index --------------------------------------------------------
+
+    def _start_batch(self, files) -> None:
+        """Reset the per-batch state and index ``files``."""
+        self._files = list(files)
+        self._reports: Dict[str, object] = {}
+        self._states: Dict[str, object] = {}
+        self._file_segments: Dict[str, List] = {}
+        # The flattened first-occurrence state order (the cursor
+        # dispatchers' scan order) and the segment->files index.
+        self._ordered: List = []
+        self._state_files: Dict[str, List[str]] = {}
+        # Per-file countdowns, one per milestone, of unique segments
+        # still short of it; zero-segment files await their stamp.
+        self._pending: Dict[str, List[int]] = {}
+        self._flush: List[str] = []
+        self._inflight_total = 0
+        self._dead: Dict[str, int] = {cid: 0 for cid in self.cloud_ids}
+        self._failed_requests = 0
+        self._dispatch_scans = 0  # state visits, for the perf harness
+        self._wake = self.sim.event()
+        for file in self._files:
+            self._reports[file.path] = self._new_report(file)
+            states = []
+            for segment in file.segments:
+                segment_id = self._record(segment).segment_id
+                state = self._states.get(segment_id)
+                if state is None:
+                    state = self._new_state(segment)
+                    state.position = len(self._ordered)
+                    state.counted = [False] * len(self.MILESTONES)
+                    self._states[segment_id] = state
+                    self._ordered.append(state)
+                    self._state_files[segment_id] = []
+                files_of = self._state_files[segment_id]
+                if file.path not in files_of:
+                    files_of.append(file.path)
+                states.append(state)
+            self._file_segments[file.path] = states
+            unique = len({id(s) for s in states})
+            self._pending[file.path] = [unique] * len(self.MILESTONES)
+            if not unique:
+                self._flush.append(file.path)
+
+    def _note_block_completed(self, state) -> None:
+        """Incremental progress accounting after one completed block.
+
+        Milestones are monotone (blocks complete exactly once, and a
+        reliable upload state has no fair work left that could later
+        mark it degraded), so per-file countdowns stamped through the
+        segment->files index replace a full ``all(...)`` rescan of
+        every file on every block.
+        """
+        now = self.sim.now
+        if self._flush:
+            # Zero-segment files are vacuously at every milestone; stamp
+            # them at the first progress check, as the full rescan did.
+            stamps = [stamp for _reached, stamp in self.MILESTONES]
+            for path in self._flush:
+                _stamp(self._reports[path], stamps, now)
+            self._flush = []
+        counted = state.counted
+        for m, (reached, stamp) in enumerate(self.MILESTONES):
+            if counted[m] or not getattr(state, reached):
+                continue
+            counted[m] = True
+            for path in self._state_files[state.record.segment_id]:
+                pending = self._pending[path]
+                pending[m] -= 1
+                if pending[m] == 0:
+                    _stamp(self._reports[path], (stamp,), now)
+
+    def _stamp_stragglers(self) -> None:
+        """Batch-final pass: stamp each milestone a file reached that no
+        completed block stamped (e.g. zero-segment files in a batch
+        that completed nothing)."""
+        for file in self._files:
+            report = self._reports[file.path]
+            states = self._file_segments[file.path]
+            for reached, stamp in self.MILESTONES:
+                if getattr(report, stamp) is None and all(
+                    getattr(s, reached) for s in states
+                ):
+                    setattr(report, stamp, self.sim.now)
+
+    def _batch_report(self, report_cls, started: float):
+        return report_cls(
+            files=[self._reports[f.path] for f in self._files],
+            started_at=started,
+            finished_at=self.sim.now,
+            failed_requests=self._failed_requests,
+        )
+
+    # -- worker loop ----------------------------------------------------------
+
+    def _run_workers(self, connections: Sequence[CloudAPI], next_pick):
+        """Run ``connections_per_cloud`` workers per connection to the
+        end of the batch.
+
+        ``next_pick(cloud_id)`` is the direction's regular pick: a
+        candidate for an idle connection, or None.  Picking commits
+        nothing, so the same call probes for termination.
+        """
+        workers = [
+            self.sim.process(self._worker(conn, next_pick))
+            for conn in connections
+            for _slot in range(self.config.connections_per_cloud)
+        ]
+        self._workers = workers
+        if workers:
+            yield AllOf(self.sim, workers)
+        self._workers = []
+
+    def _worker(self, conn: CloudAPI, next_pick):
+        cloud_id = conn.cloud_id
+        while True:
+            if (
+                self._budget is not None
+                and not self._aborted
+                and self._budget.expired
+            ):
+                # Round deadline reached: stop dispatching; the batch
+                # winds down with whatever blocks already landed
+                # (brownout debt, content=None or a SyncError pick it up
+                # upstream).
+                self.abort()
+            if self._aborted:
+                return
+            pick = next_pick(cloud_id)
+            eta = None
+            if pick is None:
+                pick, eta = self._next_hedge(cloud_id)
+            if pick is None:
+                if self._done(next_pick):
+                    return
+                if eta is not None and eta > self.sim.now:
+                    # Work turns dispatchable at a known future instant
+                    # (a fetch becoming hedge-eligible); park on
+                    # whichever of (progress pulse, that instant) fires
+                    # first.
+                    yield AnyOf(
+                        self.sim,
+                        [self._wake, self.sim.timeout(eta - self.sim.now)],
+                    )
+                else:
+                    yield self._wake
+                continue
+            self._inflight_total += 1
+            if self._degrade is not None:
+                self._degrade.note_dispatch(cloud_id, self.sim.now)
+            yield from self._dispatch(conn, pick)
+
+    def _admits(self, cloud_id: str) -> bool:
+        """The dispatch gate every pick passes first.
+
+        An open breaker (or a scoreboard-pinned outage) stops regular
+        dispatch — the fix for the degraded-cloud retry burn, where
+        every fresh batch used to grant a known-bad cloud a full paced
+        retry budget.  Half-open probes pass, bounded by the probe
+        quota, and are accounted by ``note_dispatch`` at commit.
+        """
+        if self._aborted:
+            return False
+        return self._degrade is None or self._degrade.admits(
+            cloud_id, self.sim.now
+        )
+
+    def _is_dead(self, cloud_id: str) -> bool:
+        return self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold
+
+    def _done(self, next_pick) -> bool:
+        if self._inflight_total > 0:
+            return False
+        return all(next_pick(cid) is None for cid in self.cloud_ids)
+
+    def _pulse(self) -> None:
+        wake, self._wake = self._wake, self.sim.event()
+        wake.succeed()
+
+    # -- one transfer ---------------------------------------------------------
+
+    def _transfer(self, conn: CloudAPI, task: _Task, payload=None,
+                  **fields):
+        """Move one committed block and settle its outcome.
+
+        ``payload`` is the block to upload (None for a fetch); ``fields``
+        are extra span attributes, placed before ``attempt``.
+        """
+        cloud_id = conn.cloud_id
+        record = task.state.record
+        start = self.sim.now
+        span = None
+        block_ctx = None
+        if TRACE.enabled:
+            sid = TRACE.tracer.next_id()
+            attrs = _ctx_attrs(self.trace_ctx, sid)
+            if task.hedge:
+                attrs["hedge"] = True
+            span = TRACE.begin(
+                "transfer", t=start, track=cloud_id, dir=self.DIRECTION,
+                seg=record.segment_id[:12], block=task.index, **fields,
+                attempt=self._dead[cloud_id] + 1, **attrs,
+            )
+            block_ctx = (attrs.get("trace_id", sid), sid)
+        path = self.pipeline.block_path(record, task.index)
+        try:
+            block = yield from self._request(conn, path, payload, block_ctx)
+        except CloudError as exc:
+            self._inflight_total -= 1
+            self.estimator.record_failure(
+                cloud_id, self.DIRECTION, now=self.sim.now
+            )
+            action = self.retry.classify(exc)
+            # A missing block (only a fetch sees one) is a deterministic
+            # per-(index, cloud) miss, not evidence the cloud died.
+            miss = isinstance(exc, NotFoundError)
+            self._settle_failure(
+                task, cloud_id, span, type(exc).__name__, action,
+                fatal=action is not RETRY and not miss, miss=miss,
+            )
+            if action is RETRY and not self._is_dead(cloud_id):
+                # Transient: pace this connection's next attempt.
+                delay = self.retry.backoff(
+                    self._dead[cloud_id] - 1, self.rng
+                )
+                if delay > 0:
+                    wait = (
+                        TRACE.begin(
+                            "retry_wait", t=self.sim.now,
+                            track=cloud_id, dir=self.DIRECTION,
+                            attempt=self._dead[cloud_id],
+                        )
+                        if TRACE.enabled
+                        else None
+                    )
+                    yield self.sim.timeout(delay)
+                    if wait is not None:
+                        TRACE.end(wait, t=self.sim.now)
+            return
+        except GeneratorExit:
+            # The process was killed mid-request (a crash, or a won
+            # hedge race cancelling its loser).
+            self._abandon(task, cloud_id, span)
+            raise
+        self._inflight_total -= 1
+        if self._rejects(conn, task, block):
+            # Bytes that fail their fingerprint are a permanent erasure
+            # of this (index, cloud) pair: a non-fatal give-up, with no
+            # estimator sample and no backoff.
+            self._settle_failure(
+                task, cloud_id, span, "CorruptBlock", GIVE_UP,
+                fatal=False, bytes=len(block),
+            )
+            return
+        now = self.sim.now
+        nbytes = len(block)
+        self._dead[cloud_id] = 0
+        if self._degrade is not None:
+            self._degrade.on_success(cloud_id, now)
+        self.estimator.record(
+            cloud_id, self.DIRECTION, nbytes, now - start, now=now
+        )
+        if span is not None:
+            TRACE.end(span, t=now, bytes=nbytes)
+        if METRICS.enabled or TELEMETRY.enabled:
+            self._observe_success(conn, nbytes, task.fair, now)
+        self._complete(task, cloud_id, block, start)
+        self._note_block_completed(task.state)
+        self._pulse()
+
+    def _observe_success(self, conn: CloudAPI, nbytes: int, fair: bool,
+                         now: float) -> None:
+        """Per-completed-block metrics and telemetry.
+
+        Both hubs get the estimate and the raw simulated link rate from
+        one lookup.  ``estimator_rel_error`` compares the two — a
+        diagnostic for estimator drift, not an exact residual, since
+        the true per-connection share also depends on concurrent
+        transfer count.
+        """
+        cloud_id = conn.cloud_id
+        direction = self.DIRECTION
+        if METRICS.enabled:
+            METRICS.inc(
+                "bytes_up" if direction == UPLOAD else "bytes_down",
+                nbytes, cloud=cloud_id,
+            )
+            if not fair:
+                METRICS.inc("redundant_blocks", cloud=cloud_id)
+                METRICS.inc("redundant_bytes", nbytes, cloud=cloud_id)
+        if TELEMETRY.enabled:
+            TELEMETRY.transfer(
+                cloud_id, now, True, nbytes, direction,
+                tenant=self.tenant, redundant=not fair,
+            )
+        engine = getattr(
+            conn, "uplink" if direction == UPLOAD else "downlink", None
+        )
+        bandwidth = getattr(engine, "bandwidth", None)
+        if bandwidth is None:
+            return
+        true_rate = bandwidth.rate_at(now)
+        est = self.estimator.estimate(cloud_id, direction)
+        if not math.isfinite(est):
+            return
+        if METRICS.enabled and true_rate > 0:
+            METRICS.observe(
+                "estimator_rel_error", abs(est - true_rate) / true_rate,
+                direction=direction,
+            )
+        if TELEMETRY.enabled:
+            TELEMETRY.estimator(cloud_id, now, direction, est, true_rate)
+
+    def _settle_failure(self, task: _Task, cloud_id: str, span, error: str,
+                        action: str, fatal: bool, miss: bool = False,
+                        **end) -> None:
+        """Account one failed transfer and hand its block back."""
+        now = self.sim.now
+        self._failed_requests += 1
+        if span is not None:
+            TRACE.end(span, t=now, **end, error=error, retry_action=action)
+        if METRICS.enabled:
+            METRICS.inc(
+                "scheduler_redispatch",
+                cloud=cloud_id, direction=self.DIRECTION,
+            )
+        if TELEMETRY.enabled:
+            if miss:
+                # The cloud answered correctly that it lacks the block
+                # (raced GC / placement): counted, but never a health or
+                # SLO signal.
+                TELEMETRY.missing_block(cloud_id, now)
+            else:
+                TELEMETRY.transfer(
+                    cloud_id, now, False, 0, self.DIRECTION,
+                    tenant=self.tenant, retry_action=action,
+                )
+        if self._degrade is not None and not miss:
+            self._degrade.on_failure(cloud_id, now, fatal=fatal)
+        self._count_failure(cloud_id, fatal)
+        self._requeue(task, cloud_id)
+        self._pulse()
+
+    def _count_failure(self, cloud_id: str, fatal: bool) -> None:
+        """Count one failure toward the cloud's death threshold.
+
+        ``fatal`` failures jump the counter straight to the threshold:
+        the batch must not keep probing a cloud whose errors cannot
+        succeed on retry (re-probing an unavailable cloud burns the
+        unavailability timeout per attempt).
+        """
+        was_dead = self._is_dead(cloud_id)
+        if fatal:
+            self._dead[cloud_id] = max(
+                self._dead[cloud_id], self.config.cloud_failure_threshold
+            )
+        else:
+            self._dead[cloud_id] += 1
+        if not was_dead and self._is_dead(cloud_id):
+            self._on_cloud_dead(cloud_id)
+
+    # -- optional hooks -------------------------------------------------------
+
+    def _next_hedge(self, cloud_id: str):
+        """``(task, eta)``: speculative work for a connection with no
+        regular pick, and the instant some may appear without a pulse.
+        Only downloads hedge."""
+        return None, None
+
+    def _rejects(self, conn: CloudAPI, task: _Task, block) -> bool:
+        """Whether a delivered block fails verification."""
+        return False
+
+    def _on_cloud_dead(self, cloud_id: str) -> None:
+        """A cloud just crossed the death threshold."""
+
+    def _abandon(self, task: _Task, cloud_id: str, span) -> None:
+        """The transfer's process was killed mid-request."""
+
+    # -- control --------------------------------------------------------------
+
+    def abort(self) -> None:
+        """Stop dispatching: idle workers return at once, busy workers
+        exit after their current transfer resolves (soft shutdown).  An
+        abort before :meth:`run_batch` sticks: the batch then returns at
+        once with nothing sent."""
+        self._aborted = True
+        self._pulse()
+
+    def kill_workers(self) -> None:
+        """Hard-stop every worker where it stands (client power loss).
+
+        In-flight transfers never complete client-side: a block whose
+        upload generator dies mid-payload was never acknowledged, so it
+        is *not* recorded in metadata or the journal — exactly the
+        orphan/loss window a crash leaves in reality.
+        """
+        self._aborted = True
+        for proc in self._workers:
+            kill = getattr(proc, "kill", None)
+            if kill is not None:
+                kill()
+        self._workers = []
+
+
+# ---------------------------------------------------------------------------
 # Upload scheduling
 # ---------------------------------------------------------------------------
 
 
 class _SegmentUploadState:
-    """Book-keeping for one unique segment within a batch."""
+    """Book-keeping for one unique segment within a batch.
+
+    The batch index assigns ``position`` (in the first-occurrence scan
+    order) and ``counted`` (milestones already counted down).
+    """
 
     def __init__(self, record: SegmentRecord, data: bytes,
                  cloud_ids: Sequence[str], config: UniDriveConfig):
         self.record = record
         self.data = data
-        # Position in the batch's flattened first-occurrence scan order;
-        # assigned by the scheduler, used by the cursor dispatcher.
-        self.position = 0
-        # Progress-counter bookkeeping (set once, when the transition
-        # is first observed after a completed block).
-        self.counted_available = False
-        self.counted_reliable = False
         self.k = record.k
         self.cap = max_blocks_per_cloud(record.k, config.k_security)
         share = fair_share(record.k, config.k_reliability)
@@ -366,15 +814,11 @@ class _SegmentUploadState:
                 self.extras.appendleft(queue.pop())
 
 
-@dataclass
-class _UploadTask:
-    state: _SegmentUploadState
-    index: int
-    is_fair: bool
-
-
-class UploadScheduler:
+class UploadScheduler(_DispatchCore):
     """Schedules one batch of file uploads over the multi-cloud."""
+
+    DIRECTION = UPLOAD
+    MILESTONES = (("available", "available_at"), ("reliable", "reliable_at"))
 
     def __init__(
         self,
@@ -394,119 +838,27 @@ class UploadScheduler:
         degrade: Optional[DegradeController] = None,
         budget: Optional[DeadlineBudget] = None,
     ):
-        if not connections:
-            raise ValueError("need at least one cloud connection")
-        self.sim = sim
-        self.connections = list(connections)
-        self.cloud_ids = [c.cloud_id for c in self.connections]
-        # Degradation control plane (None = disabled, the default): the
-        # breaker gate in _next_task and the per-round deadline budget.
-        self._degrade = degrade
-        self._budget = budget
-        self.pipeline = pipeline
-        self.config = config
-        self.estimator = estimator or ThroughputEstimator()
+        super().__init__(sim, connections, pipeline, config, estimator,
+                         dynamic, retry_policy, rng, trace_ctx, tenant,
+                         degrade, budget)
         self.over_provision = over_provision
-        self.dynamic = dynamic
         self.on_block_uploaded = on_block_uploaded
-        # Trace-correlation ancestry for this batch's transfer spans and
-        # tenant identity for per-tenant SLO accounting; both optional
-        # and inert unless the respective hub is enabled.
-        self.trace_ctx = trace_ctx
-        self.tenant = tenant
         # Journal resume: segment_id -> {index: cloud_id} of blocks a
         # previous (crashed) round already landed; they are credited as
         # uploaded at batch start and never re-transferred.
         self.resume = resume or {}
-        # Unified failure policy: classifies errors (fail-fast vs
-        # transient) and paces re-dispatch after transient failures.
-        # rng=None keeps the backoff schedule deterministic.
-        self.retry = retry_policy or RetryPolicy.from_config(config)
-        self.rng = rng
-        # Per-batch state, reset in run_batch().
-        self._files: List[FileUpload] = []
-        self._reports: Dict[str, FileUploadReport] = {}
-        self._states: Dict[str, _SegmentUploadState] = {}
-        self._file_segments: Dict[str, List[_SegmentUploadState]] = {}
-        self._inflight_total = 0
-        self._dead: Dict[str, int] = {}
-        self._failed_requests = 0
-        self._wake = None
-        # Cursor-dispatch structures (see _next_task): the flattened
-        # first-occurrence state order, a segment->files index, per-cloud
-        # phase cursors and incrementally-maintained per-file progress
-        # counters.
-        self._ordered: List[_SegmentUploadState] = []
-        self._state_files: Dict[str, List[str]] = {}
+        # Per-cloud cursors of the three dispatch phases (see _next_task).
         self._ptr_a: Dict[str, int] = {}
         self._ptr_b: Dict[str, int] = {}
         self._ptr_c: Dict[str, int] = {}
-        self._pending_available: Dict[str, int] = {}
-        self._pending_reliable: Dict[str, int] = {}
-        self._satisfied_flush: List[str] = []
-        self._dispatch_scans = 0  # state visits, for the perf harness
-        self._workers: List = []
-        self._aborted = False
-
-    # -- public API -------------------------------------------------------
 
     def run_batch(self, files: Sequence[FileUpload]):
         """Upload a batch; generator returns an :class:`UploadBatchReport`."""
         started = self.sim.now
-        self._files = list(files)
-        self._reports = {}
-        self._states = {}
-        self._file_segments = {}
-        self._inflight_total = 0
-        self._dead = {cid: 0 for cid in self.cloud_ids}
-        self._failed_requests = 0
-        self._wake = self.sim.event()
-        self._ordered = []
-        self._state_files = {}
-        self._satisfied_flush = []
-        self._dispatch_scans = 0
-        for file in self._files:
-            self._reports[file.path] = FileUploadReport(
-                path=file.path, size=file.size, started_at=self.sim.now,
-                blocks_per_cloud={cid: 0 for cid in self.cloud_ids},
-            )
-            states = []
-            for record, data in file.segments:
-                state = self._states.get(record.segment_id)
-                if state is None:
-                    state = _SegmentUploadState(
-                        record, data, self.cloud_ids, self.config
-                    )
-                    state.position = len(self._ordered)
-                    for idx, cid in sorted(
-                        self.resume.get(record.segment_id, {}).items()
-                    ):
-                        if cid in self.cloud_ids:
-                            state.preseed(idx, cid)
-                    self._states[record.segment_id] = state
-                    self._ordered.append(state)
-                    self._state_files[record.segment_id] = []
-                files_of = self._state_files[record.segment_id]
-                if file.path not in files_of:
-                    files_of.append(file.path)
-                states.append(state)
-            self._file_segments[file.path] = states
+        self._start_batch(files)
         self._ptr_a = {cid: 0 for cid in self.cloud_ids}
         self._ptr_b = {cid: 0 for cid in self.cloud_ids}
         self._ptr_c = {cid: 0 for cid in self.cloud_ids}
-        self._pending_available = {}
-        self._pending_reliable = {}
-        for file in self._files:
-            unique = {
-                id(s): s for s in self._file_segments[file.path]
-            }
-            self._pending_available[file.path] = len(unique)
-            self._pending_reliable[file.path] = len(unique)
-            if not unique:
-                # A zero-segment file is vacuously available *and*
-                # reliable; like the full-scan refresh, it is stamped at
-                # the first progress check (or the final one).
-                self._satisfied_flush.append(file.path)
         if self.resume:
             # Preseeded blocks count as completed progress right away
             # (countdowns, availability stamps) — they just never
@@ -514,203 +866,108 @@ class UploadScheduler:
             for state in self._ordered:
                 if state.uploaded:
                     self._note_block_completed(state)
-        workers = []
-        for conn in self.connections:
-            for _slot in range(self.config.connections_per_cloud):
-                workers.append(self.sim.process(self._worker(conn)))
-        self._workers = workers
-        if workers:
-            yield AllOf(self.sim, workers)
-        self._workers = []
-        self._refresh_file_reports(final=True)
-        return UploadBatchReport(
-            files=[self._reports[f.path] for f in self._files],
-            started_at=started,
-            finished_at=self.sim.now,
-            failed_requests=self._failed_requests,
+        yield from self._run_workers(self.connections, self._next_task)
+        self._stamp_stragglers()
+        for file in self._files:
+            self._reports[file.path].degraded = any(
+                s.degraded for s in self._file_segments[file.path]
+            )
+        return self._batch_report(UploadBatchReport, started)
+
+    # -- batch index hooks --------------------------------------------------
+
+    @staticmethod
+    def _record(segment) -> SegmentRecord:
+        return segment[0]
+
+    def _new_state(self, segment) -> _SegmentUploadState:
+        record, data = segment
+        state = _SegmentUploadState(record, data, self.cloud_ids, self.config)
+        for idx, cid in sorted(self.resume.get(record.segment_id, {}).items()):
+            if cid in self.cloud_ids:
+                state.preseed(idx, cid)
+        return state
+
+    def _new_report(self, file: FileUpload) -> FileUploadReport:
+        return FileUploadReport(
+            path=file.path, size=file.size, started_at=self.sim.now,
+            blocks_per_cloud={cid: 0 for cid in self.cloud_ids},
         )
 
-    # -- worker loop -------------------------------------------------------
+    # -- transfer hooks -------------------------------------------------------
 
-    def _worker(self, conn: CloudAPI):
-        cloud_id = conn.cloud_id
-        while True:
-            if (
-                self._budget is not None
-                and not self._aborted
-                and self._budget.expired
-            ):
-                # Round deadline reached: stop dispatching; the batch
-                # winds down with whatever blocks already landed
-                # (brownout debt or a SyncError pick it up upstream).
-                self.abort()
-            if self._aborted:
-                return
-            task = self._next_task(cloud_id)
-            if task is None:
-                if self._done():
-                    return
-                yield self._wake
-                continue
-            state, index = task.state, task.index
-            # Integrity fingerprint, recorded at encode time: blocks are
-            # deterministic in (segment content, index), so the hash is
-            # valid metadata even if this particular transfer fails.
-            # The digest rides along from the batched per-segment
-            # fingerprint pass over the encoded matrix.
-            block, digest = self.pipeline.encode_block_with_digest(
-                state.record.segment_id, state.data, index
-            )
-            if index not in state.record.block_hashes:
-                state.record.block_hashes[index] = digest
-            path = self.pipeline.block_path(state.record, index)
-            self._inflight_total += 1
-            start = self.sim.now
-            span = None
-            block_ctx = None
-            if TRACE.enabled:
-                sid = TRACE.tracer.next_id()
-                attrs = _ctx_attrs(self.trace_ctx, sid)
-                span = TRACE.begin(
-                    "transfer", t=start, track=cloud_id,
-                    dir=UPLOAD, seg=state.record.segment_id[:12],
-                    block=index, bytes=len(block), fair=task.is_fair,
-                    attempt=self._dead[cloud_id] + 1, **attrs,
-                )
-                block_ctx = (attrs.get("trace_id", sid), sid)
-            try:
-                yield from conn.upload(path, block, ctx=block_ctx)
-            except CloudError as exc:
-                self._inflight_total -= 1
-                self._failed_requests += 1
-                self.estimator.record_failure(
-                    cloud_id, UPLOAD, now=self.sim.now
-                )
-                # Fail fast on non-transient errors: an unavailable (or
-                # quota-exhausted) cloud is declared dead for the batch
-                # immediately — re-probing it burns the unavailability
-                # timeout per attempt with no chance of success.
-                action = self.retry.classify(exc)
-                fatal = action is not RETRY
-                if span is not None:
-                    TRACE.end(
-                        span, t=self.sim.now,
-                        error=type(exc).__name__, retry_action=action,
-                    )
-                if METRICS.enabled:
-                    METRICS.inc(
-                        "scheduler_redispatch",
-                        cloud=cloud_id, direction=UPLOAD,
-                    )
-                if TELEMETRY.enabled:
-                    TELEMETRY.transfer(
-                        cloud_id, self.sim.now, False, 0, UPLOAD,
-                        tenant=self.tenant, retry_action=action,
-                    )
-                if self._degrade is not None:
-                    self._degrade.on_failure(
-                        cloud_id, self.sim.now, fatal=fatal
-                    )
-                dead = self._note_failure(cloud_id, fatal=fatal)
-                state.fail(index, cloud_id, task.is_fair, cloud_dead=dead)
-                # A failure restores candidacy: the failed index went
-                # back to this cloud's fair queue or to the shared
-                # extras pool, and this cloud regained cap room.
-                self._rewind_cursors(state.position)
-                self._pulse()
-                if not dead:
-                    # Transient: pace this connection's next attempt.
-                    delay = self.retry.backoff(
-                        self._dead[cloud_id] - 1, self.rng
-                    )
-                    if delay > 0:
-                        wait = (
-                            TRACE.begin(
-                                "retry_wait", t=self.sim.now,
-                                track=cloud_id, dir=UPLOAD,
-                                attempt=self._dead[cloud_id],
-                            )
-                            if TRACE.enabled
-                            else None
-                        )
-                        yield self.sim.timeout(delay)
-                        if wait is not None:
-                            TRACE.end(wait, t=self.sim.now)
-                continue
-            self._inflight_total -= 1
-            self._dead[cloud_id] = 0
-            if self._degrade is not None:
-                self._degrade.on_success(cloud_id, self.sim.now)
-            self.estimator.record(
-                cloud_id, UPLOAD, len(block), self.sim.now - start,
-                now=self.sim.now,
-            )
-            if span is not None:
-                TRACE.end(span, t=self.sim.now)
-            if METRICS.enabled:
-                _record_block_metrics(
-                    self.estimator, conn, cloud_id, UPLOAD,
-                    len(block), task.is_fair, self.sim.now,
-                )
-            if TELEMETRY.enabled:
-                TELEMETRY.transfer(
-                    cloud_id, self.sim.now, True, len(block), UPLOAD,
-                    tenant=self.tenant, redundant=not task.is_fair,
-                )
-                _telemetry_estimator(
-                    self.estimator, conn, cloud_id, UPLOAD, self.sim.now
-                )
-            state.complete(index, cloud_id, task.is_fair)
-            if task.is_fair:
-                # Completing a fair block may flip fair_done for this
-                # cloud, unlocking this segment's extras for it.
-                self._rewind_cursors(state.position, only_cloud=cloud_id)
-            if self.on_block_uploaded is not None:
-                self.on_block_uploaded(
-                    state.record.segment_id, index, cloud_id
-                )
-            self._note_block_completed(state)
-            self._bump_block_count(state, cloud_id)
-            self._pulse()
+    def _dispatch(self, conn: CloudAPI, pick):
+        state, fair = pick
+        index = (state.take_fair(conn.cloud_id) if fair
+                 else state.take_extra(conn.cloud_id))
+        # Integrity fingerprint, recorded at encode time: blocks are
+        # deterministic in (segment content, index), so the hash is
+        # valid metadata even if this particular transfer fails.
+        # The digest rides along from the batched per-segment
+        # fingerprint pass over the encoded matrix.
+        block, digest = self.pipeline.encode_block_with_digest(
+            state.record.segment_id, state.data, index
+        )
+        if index not in state.record.block_hashes:
+            state.record.block_hashes[index] = digest
+        yield from self._transfer(conn, _Task(state, index, fair), block,
+                                  bytes=len(block), fair=fair)
+
+    def _request(self, conn: CloudAPI, path: str, block, ctx):
+        yield from conn.upload(path, block, ctx=ctx)
+        return block
+
+    def _complete(self, task: _Task, cloud_id: str, block, start: float):
+        state, index = task.state, task.index
+        state.complete(index, cloud_id, task.fair)
+        if task.fair:
+            # Completing a fair block may flip fair_done for this
+            # cloud, unlocking this segment's extras for it.
+            self._rewind_cursors(state.position, only_cloud=cloud_id)
+        if self.on_block_uploaded is not None:
+            self.on_block_uploaded(state.record.segment_id, index, cloud_id)
+        for path in self._state_files[state.record.segment_id]:
+            counts = self._reports[path].blocks_per_cloud
+            counts[cloud_id] = counts.get(cloud_id, 0) + 1
+
+    def _requeue(self, task: _Task, cloud_id: str) -> None:
+        state = task.state
+        state.fail(task.index, cloud_id, task.fair,
+                   cloud_dead=self._is_dead(cloud_id))
+        # A failure restores candidacy: the failed index went back to
+        # this cloud's fair queue or to the shared extras pool, and this
+        # cloud regained cap room.
+        self._rewind_cursors(state.position)
+
+    def _on_cloud_dead(self, cloud_id: str) -> None:
+        for state in self._states.values():
+            state.abandon_cloud(cloud_id)
+        # Abandoned fair queues refilled the extras pool across the
+        # whole batch; every cursor must rescan from the start.
+        self._rewind_cursors(0)
 
     # -- dispatch policy ----------------------------------------------------
 
-    def _next_task(self, cloud_id: str,
-                   peek: bool = False) -> Optional[_UploadTask]:
-        """Pick (and unless ``peek``, commit) the next block for a cloud.
+    def _next_task(self, cloud_id: str):
+        """Pick the next ``(state, is_fair)`` for a cloud, uncommitted.
 
-        Dynamic mode uses the amortized-O(1) cursor dispatcher below;
-        the static benchmark baseline keeps the reference decision
-        ladder (its file-gated order does not admit a prefix cursor).
-        Both walk the same ladder in peek and commit mode, so a
-        successful peek guarantees the subsequent commit would succeed.
+        The worker commits the pick with ``take_fair`` / ``take_extra``;
+        every scan checks the same conditions those take, so a pick
+        always commits.  Dynamic mode uses the amortized-O(1) cursor
+        dispatcher below; the static benchmark baseline keeps the
+        reference decision ladder (its file-gated order does not admit
+        a prefix cursor).
         """
-        if self._aborted:
-            return None
-        if self._degrade is not None and not self._degrade.admits(
-            cloud_id, self.sim.now
-        ):
-            # Breaker open (or the scoreboard pins the cloud
-            # unavailable): no regular dispatch — the fix for the
-            # degraded-cloud retry burn, where every fresh batch used
-            # to grant a known-bad cloud a full paced retry budget.
-            # Half-open probes pass through admits() bounded by the
-            # probe quota and are accounted in the non-peek commit
-            # below.
+        if not self._admits(cloud_id):
             return None
         if not self.dynamic:
-            task = self._next_task_reference(cloud_id, peek)
-        else:
-            if self._is_dead(cloud_id):
-                return None
-            task = self._scan_phase_a(cloud_id, peek)
-            if task is None:
-                task = self._scan_phase_b(cloud_id, peek)
-            if task is None and self.over_provision:
-                task = self._scan_phase_c(cloud_id, peek)
-        if task is not None and not peek and self._degrade is not None:
-            self._degrade.note_dispatch(cloud_id, self.sim.now)
-        return task
+            return self._next_task_reference(cloud_id)
+        if self._is_dead(cloud_id):
+            return None
+        pick = self._scan_phase_a(cloud_id) or self._scan_phase_b(cloud_id)
+        if pick is None and self.over_provision:
+            pick = self._scan_phase_c(cloud_id)
+        return pick
 
     # The three phase scans share one structure: walk the flattened
     # first-occurrence state order from this cloud's cursor, skipping
@@ -723,8 +980,7 @@ class UploadScheduler:
     # cursor never needs to revisit the prefix and dispatch cost is
     # amortized O(1) per block instead of O(files x segments).
 
-    def _scan_phase_a(self, cloud_id: str,
-                      peek: bool) -> Optional[_UploadTask]:
+    def _scan_phase_a(self, cloud_id: str):
         """Availability-first: earliest file not yet available."""
         ordered = self._ordered
         count = len(ordered)
@@ -736,25 +992,16 @@ class UploadScheduler:
                 if state.fair_pending(cloud_id):
                     if state.cap_room(cloud_id):
                         self._ptr_a[cloud_id] = ptr
-                        if peek:
-                            return _UploadTask(state, -1, is_fair=True)
-                        return _UploadTask(
-                            state, state.take_fair(cloud_id), is_fair=True
-                        )
+                        return state, True
                 elif (self.over_provision and state.fair_done(cloud_id)
                         and state.extras and state.cap_room(cloud_id)):
                     self._ptr_a[cloud_id] = ptr
-                    if peek:
-                        return _UploadTask(state, -1, is_fair=False)
-                    return _UploadTask(
-                        state, state.take_extra(cloud_id), is_fair=False
-                    )
+                    return state, False
             ptr += 1
         self._ptr_a[cloud_id] = count
         return None
 
-    def _scan_phase_b(self, cloud_id: str,
-                      peek: bool) -> Optional[_UploadTask]:
+    def _scan_phase_b(self, cloud_id: str):
         """Reliability-second: top up outstanding fair shares."""
         ordered = self._ordered
         count = len(ordered)
@@ -764,17 +1011,12 @@ class UploadScheduler:
             self._dispatch_scans += 1
             if state.fair_pending(cloud_id) and state.cap_room(cloud_id):
                 self._ptr_b[cloud_id] = ptr
-                if peek:
-                    return _UploadTask(state, -1, is_fair=True)
-                return _UploadTask(
-                    state, state.take_fair(cloud_id), is_fair=True
-                )
+                return state, True
             ptr += 1
         self._ptr_b[cloud_id] = count
         return None
 
-    def _scan_phase_c(self, cloud_id: str,
-                      peek: bool) -> Optional[_UploadTask]:
+    def _scan_phase_c(self, cloud_id: str):
         """Over-provision while slower clouds still owe fair shares."""
         ordered = self._ordered
         count = len(ordered)
@@ -785,11 +1027,7 @@ class UploadScheduler:
             if (state.fair_outstanding and state.fair_done(cloud_id)
                     and state.extras and state.cap_room(cloud_id)):
                 self._ptr_c[cloud_id] = ptr
-                if peek:
-                    return _UploadTask(state, -1, is_fair=False)
-                return _UploadTask(
-                    state, state.take_extra(cloud_id), is_fair=False
-                )
+                return state, False
             ptr += 1
         self._ptr_c[cloud_id] = count
         return None
@@ -807,8 +1045,7 @@ class UploadScheduler:
             if self._ptr_c[cid] > position:
                 self._ptr_c[cid] = position
 
-    def _next_task_reference(self, cloud_id: str,
-                             peek: bool = False) -> Optional[_UploadTask]:
+    def _next_task_reference(self, cloud_id: str):
         """The original O(files x segments) decision-ladder dispatcher.
 
         Retained as the executable specification of the scheduling
@@ -819,14 +1056,12 @@ class UploadScheduler:
         if self._is_dead(cloud_id):
             return None
 
-        def fair(state: _SegmentUploadState) -> Optional[_UploadTask]:
-            if not state.fair_pending(cloud_id) or not state.cap_room(cloud_id):
-                return None
-            if peek:
-                return _UploadTask(state, -1, is_fair=True)
-            return _UploadTask(state, state.take_fair(cloud_id), is_fair=True)
+        def fair(state: _SegmentUploadState):
+            if state.fair_pending(cloud_id) and state.cap_room(cloud_id):
+                return state, True
+            return None
 
-        def extra(state: _SegmentUploadState) -> Optional[_UploadTask]:
+        def extra(state: _SegmentUploadState):
             # Over-provisioned blocks go only to clouds that already
             # *finished transferring* their own fair share of this
             # segment (paper §6.2).
@@ -834,10 +1069,7 @@ class UploadScheduler:
                 return None
             if not state.extras or not state.cap_room(cloud_id):
                 return None
-            if peek:
-                return _UploadTask(state, -1, is_fair=False)
-            return _UploadTask(state, state.take_extra(cloud_id),
-                               is_fair=False)
+            return state, False
 
         # Phase A: availability-first, files strictly in order.  Every
         # cloud keeps pulling blocks for the earliest file that is not
@@ -887,127 +1119,6 @@ class UploadScheduler:
                         return task
         return None
 
-    # -- progress & termination -------------------------------------------
-
-    def _note_block_completed(self, state: _SegmentUploadState) -> None:
-        """Incremental progress accounting after one completed block.
-
-        Availability and reliability of a segment state are monotone
-        (blocks complete exactly once, and a reliable state has no fair
-        work left that could later mark it degraded), so per-file
-        countdowns stamped through the segment->files index replace the
-        full ``all(...)`` rescan of every file on every block.
-        """
-        now = self.sim.now
-        if self._satisfied_flush:
-            # Zero-segment files are vacuously satisfied; stamp them at
-            # the first progress check, as the full rescan used to.
-            for path in self._satisfied_flush:
-                report = self._reports[path]
-                report.available_at = now
-                report.reliable_at = now
-            self._satisfied_flush = []
-        if not state.counted_available and state.available:
-            state.counted_available = True
-            for path in self._state_files[state.record.segment_id]:
-                self._pending_available[path] -= 1
-                if self._pending_available[path] == 0:
-                    report = self._reports[path]
-                    if report.available_at is None:
-                        report.available_at = now
-        if not state.counted_reliable and state.reliable:
-            state.counted_reliable = True
-            for path in self._state_files[state.record.segment_id]:
-                self._pending_reliable[path] -= 1
-                if self._pending_reliable[path] == 0:
-                    report = self._reports[path]
-                    if report.reliable_at is None:
-                        report.reliable_at = now
-
-    def _refresh_file_reports(self, final: bool = False) -> None:
-        """Full-scan progress stamping; now only the batch-final pass
-        (stragglers with no completed blocks, degraded flags)."""
-        for file in self._files:
-            report = self._reports[file.path]
-            states = self._file_segments[file.path]
-            if report.available_at is None and all(
-                s.available for s in states
-            ):
-                report.available_at = self.sim.now
-            if report.reliable_at is None and all(
-                s.reliable for s in states
-            ):
-                report.reliable_at = self.sim.now
-            if final:
-                report.degraded = any(s.degraded for s in states)
-
-    def _bump_block_count(self, state: _SegmentUploadState,
-                          cloud_id: str) -> None:
-        for path in self._state_files[state.record.segment_id]:
-            counts = self._reports[path].blocks_per_cloud
-            counts[cloud_id] = counts.get(cloud_id, 0) + 1
-
-    def _note_failure(self, cloud_id: str, fatal: bool = False) -> bool:
-        """Count a failure; returns True once the cloud is declared dead.
-
-        ``fatal`` failures (fail-fast / give-up classification) jump the
-        counter straight to the death threshold — the batch must not
-        keep probing a cloud whose errors cannot succeed on retry.
-        """
-        was_dead = self._is_dead(cloud_id)
-        if fatal:
-            self._dead[cloud_id] = max(
-                self._dead[cloud_id], self.config.cloud_failure_threshold
-            )
-        else:
-            self._dead[cloud_id] += 1
-        if not was_dead and self._is_dead(cloud_id):
-            for state in self._states.values():
-                state.abandon_cloud(cloud_id)
-            # Abandoned fair queues refilled the extras pool across the
-            # whole batch; every cursor must rescan from the start.
-            self._rewind_cursors(0)
-            return True
-        return self._is_dead(cloud_id)
-
-    def _is_dead(self, cloud_id: str) -> bool:
-        return self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold
-
-    def _done(self) -> bool:
-        if self._inflight_total > 0:
-            return False
-        return all(
-            self._next_task(cid, peek=True) is None for cid in self.cloud_ids
-        )
-
-    def _pulse(self) -> None:
-        wake, self._wake = self._wake, self.sim.event()
-        wake.succeed()
-
-    # -- crash modelling -----------------------------------------------------
-
-    def abort(self) -> None:
-        """Stop dispatching: idle workers return at once, busy workers
-        exit after their current transfer resolves (soft shutdown)."""
-        self._aborted = True
-        if self._wake is not None:
-            self._pulse()
-
-    def kill_workers(self) -> None:
-        """Hard-stop every worker where it stands (client power loss).
-
-        In-flight transfers never complete client-side: a block whose
-        upload generator dies mid-payload was never acknowledged, so it
-        is *not* recorded in metadata or the journal — exactly the
-        orphan/loss window a crash leaves in reality.
-        """
-        self._aborted = True
-        for proc in self._workers:
-            kill = getattr(proc, "kill", None)
-            if kill is not None:
-                kill()
-        self._workers = []
-
 
 # ---------------------------------------------------------------------------
 # Download scheduling
@@ -1015,7 +1126,8 @@ class UploadScheduler:
 
 
 class _SegmentDownloadState:
-    """Book-keeping for one segment being fetched."""
+    """Book-keeping for one segment being fetched (``position`` and
+    ``counted`` as for :class:`_SegmentUploadState`)."""
 
     def __init__(self, record: SegmentRecord):
         self.record = record
@@ -1030,13 +1142,9 @@ class _SegmentDownloadState:
         self.inflight_since: Dict[int, float] = {}
         self.inflight_proc: Dict[int, object] = {}
         self.hedged: set = set()
-        # Cursor-dispatch bookkeeping (see DownloadScheduler): position
-        # in the flattened scan order, the per-cloud block-index lists
-        # frozen at batch start (locations do not change mid-download),
-        # and the progress-counter flag.
-        self.position = 0
+        # The per-cloud block-index lists the cursor dispatcher walks,
+        # frozen at batch start (locations do not change mid-download).
         self.cloud_indices: Dict[str, List[int]] = {}
-        self.counted_complete = False
 
     @property
     def complete(self) -> bool:
@@ -1046,6 +1154,13 @@ class _SegmentDownloadState:
     def saturated(self) -> bool:
         """True when no further request should be issued."""
         return len(self.blocks) + len(self.inflight) >= self.k
+
+    def drop_flight(self, index: int, cloud_id: str) -> None:
+        """Forget the in-flight fetch of ``index`` from ``cloud_id``."""
+        if self.inflight.get(index) == cloud_id:
+            del self.inflight[index]
+        self.inflight_since.pop(index, None)
+        self.inflight_proc.pop(index, None)
 
     def candidate_index(self, cloud_id: str) -> Optional[int]:
         for index in self.record.blocks_on(cloud_id):
@@ -1078,8 +1193,11 @@ class _SegmentDownloadState:
         return None, not pending
 
 
-class DownloadScheduler:
+class DownloadScheduler(_DispatchCore):
     """Schedules one batch of file downloads from the multi-cloud."""
+
+    DIRECTION = DOWNLOAD
+    MILESTONES = (("complete", "completed_at"),)
 
     def __init__(
         self,
@@ -1096,22 +1214,9 @@ class DownloadScheduler:
         degrade: Optional[DegradeController] = None,
         budget: Optional[DeadlineBudget] = None,
     ):
-        if not connections:
-            raise ValueError("need at least one cloud connection")
-        self.sim = sim
-        self.connections = list(connections)
-        self.pipeline = pipeline
-        self.config = config
-        self.estimator = estimator or ThroughputEstimator()
-        self.dynamic = dynamic
-        self.retry = retry_policy or RetryPolicy.from_config(config)
-        self.rng = rng
-        self.trace_ctx = trace_ctx
-        self.tenant = tenant
-        # Degradation control plane (None = disabled, the default).
-        self._degrade = degrade
-        self._budget = budget
-        self._aborted = False
+        super().__init__(sim, connections, pipeline, config, estimator,
+                         dynamic, retry_policy, rng, trace_ctx, tenant,
+                         degrade, budget)
         self._hedge_budget: Optional[float] = None
         #: Hedge accounting for benchmarks and acceptance tests.
         self.hedges_fired = 0
@@ -1120,22 +1225,10 @@ class DownloadScheduler:
         #: fetch in the last batch — the p99 input for the hedging
         #: benchmark.  Cancelled losers do not appear.
         self.fetch_latencies: List[float] = []
-        self._files: List[FileDownload] = []
-        self._reports: Dict[str, FileDownloadReport] = {}
-        self._states: Dict[str, _SegmentDownloadState] = {}
-        self._file_segments: Dict[str, List[_SegmentDownloadState]] = {}
-        self._inflight_total = 0
-        self._dead: Dict[str, int] = {}
-        self._failed_requests = 0
-        self._wake = None
-        # Cursor-dispatch structures (see _next_request).
-        self._ordered: List[_SegmentDownloadState] = []
-        self._state_files: Dict[str, List[str]] = {}
+        # Cursor dispatch (see _next_request): each cloud's candidate
+        # states in scan order and its cursor into them.
         self._cloud_states: Dict[str, List[_SegmentDownloadState]] = {}
         self._cloud_ptr: Dict[str, int] = {}
-        self._pending_complete: Dict[str, int] = {}
-        self._complete_flush: List[str] = []
-        self._dispatch_scans = 0  # state visits, for the perf harness
 
     def run_batch(self, files: Sequence[FileDownload]):
         """Fetch a batch; generator returns a :class:`DownloadBatchReport`.
@@ -1144,55 +1237,13 @@ class DownloadScheduler:
         with ``content=None`` rather than blocking the batch.
         """
         started = self.sim.now
-        self._files = list(files)
-        self._reports = {}
-        self._states = {}
-        self._file_segments = {}
-        self._inflight_total = 0
-        self._dead = {c.cloud_id: 0 for c in self.connections}
-        self._failed_requests = 0
-        self._aborted = False
         self._hedge_budget = None
         self.hedges_fired = 0
         self.hedged_bytes = 0
         self.fetch_latencies = []
-        self._wake = self.sim.event()
-        self._ordered = []
-        self._state_files = {}
-        self._complete_flush = []
-        self._dispatch_scans = 0
-        cloud_ids = [c.cloud_id for c in self.connections]
-        self._cloud_states = {cid: [] for cid in cloud_ids}
-        self._cloud_ptr = {cid: 0 for cid in cloud_ids}
-        for file in self._files:
-            self._reports[file.path] = FileDownloadReport(
-                path=file.path, size=file.size, started_at=self.sim.now
-            )
-            states = []
-            for record in file.segments:
-                state = self._states.get(record.segment_id)
-                if state is None:
-                    state = _SegmentDownloadState(record)
-                    state.position = len(self._ordered)
-                    self._states[record.segment_id] = state
-                    self._ordered.append(state)
-                    self._state_files[record.segment_id] = []
-                    for cid in cloud_ids:
-                        indices = record.blocks_on(cid)
-                        if indices:
-                            state.cloud_indices[cid] = indices
-                            self._cloud_states[cid].append(state)
-                files_of = self._state_files[record.segment_id]
-                if file.path not in files_of:
-                    files_of.append(file.path)
-                states.append(state)
-            self._file_segments[file.path] = states
-        self._pending_complete = {}
-        for file in self._files:
-            unique = {id(s) for s in self._file_segments[file.path]}
-            self._pending_complete[file.path] = len(unique)
-            if not unique:
-                self._complete_flush.append(file.path)
+        self._cloud_states = {cid: [] for cid in self.cloud_ids}
+        self._cloud_ptr = {cid: 0 for cid in self.cloud_ids}
+        self._start_batch(files)
         if self._degrade is not None and self._degrade.hedging:
             # Hedge traffic is capped as a fraction of the batch's
             # expected fetch volume (k blocks per unique segment).
@@ -1203,100 +1254,112 @@ class DownloadScheduler:
             self._hedge_budget = (
                 self.config.hedge_bytes_fraction * expected
             )
-        workers = []
-        for conn in self._ranked_connections():
-            for _slot in range(self.config.connections_per_cloud):
-                workers.append(self.sim.process(self._worker(conn)))
-        if workers:
-            yield AllOf(self.sim, workers)
+        yield from self._run_workers(
+            self._ranked_connections(), self._next_request
+        )
+        self._stamp_stragglers()
         for file in self._files:
-            report = self._reports[file.path]
             states = self._file_segments[file.path]
             if all(s.complete for s in states):
                 contents = [
                     self.pipeline.decode_segment(s.record, s.blocks)
                     for s in states
                 ]
-                report.content = self.pipeline.assemble_file(contents)
-                if report.completed_at is None:
-                    report.completed_at = self.sim.now
-        return DownloadBatchReport(
-            files=[self._reports[f.path] for f in self._files],
-            started_at=started,
-            finished_at=self.sim.now,
-            failed_requests=self._failed_requests,
-        )
+                self._reports[file.path].content = (
+                    self.pipeline.assemble_file(contents)
+                )
+        return self._batch_report(DownloadBatchReport, started)
 
     def _ranked_connections(self) -> List[CloudAPI]:
         """Fastest clouds first so their workers ask first (paper §6.2)."""
         if not self.dynamic:
             return list(self.connections)
-        order = self.estimator.rank(
-            [c.cloud_id for c in self.connections], DOWNLOAD
-        )
+        order = self.estimator.rank(self.cloud_ids, DOWNLOAD)
         by_id = {c.cloud_id: c for c in self.connections}
         return [by_id[cid] for cid in order]
 
-    def _worker(self, conn: CloudAPI):
-        cloud_id = conn.cloud_id
-        while True:
-            if (
-                self._budget is not None
-                and not self._aborted
-                and self._budget.expired
-            ):
-                # Round deadline reached: stop dispatching and let the
-                # batch wind down; unfinished files report content=None
-                # and the client degrades or aborts the round cleanly.
-                self.abort()
-            if self._aborted:
-                return
-            pick = self._next_request(cloud_id)
-            hedge = False
-            eta = None
-            if (
-                pick is None
-                and self._degrade is not None
-                and self._degrade.hedging
-            ):
-                pick, eta = self._next_hedge(cloud_id)
-                hedge = pick is not None
-            if pick is None:
-                if self._done():
-                    return
-                if eta is not None and eta > self.sim.now:
-                    # An in-flight fetch becomes hedge-eligible at a
-                    # known future instant; park on whichever of
-                    # (progress pulse, eligibility) fires first.
-                    yield AnyOf(
-                        self.sim,
-                        [self._wake,
-                         self.sim.timeout(eta - self.sim.now)],
-                    )
-                else:
-                    yield self._wake
-                continue
-            state, index = pick
-            # Entry bookkeeping happens here — not inside _fetch_block —
-            # so another worker scanning between dispatch and the child
-            # process's first step can never double-pick the index.
-            state.inflight[index] = cloud_id
-            state.inflight_since[index] = self.sim.now
-            self._inflight_total += 1
-            if self._degrade is None:
-                yield from self._fetch_block(conn, state, index)
-            else:
-                self._degrade.note_dispatch(cloud_id, self.sim.now)
-                proc = self.sim.process(
-                    self._fetch_block(conn, state, index, hedge=hedge)
-                )
-                state.inflight_proc[index] = proc
-                yield proc
+    # -- batch index hooks --------------------------------------------------
 
-    def abort(self) -> None:
-        """Stop issuing new requests; in-flight transfers drain."""
-        self._aborted = True
-        self._pulse()
+    @staticmethod
+    def _record(segment) -> SegmentRecord:
+        return segment
+
+    def _new_state(self, record: SegmentRecord) -> _SegmentDownloadState:
+        state = _SegmentDownloadState(record)
+        for cid in self.cloud_ids:
+            indices = record.blocks_on(cid)
+            if indices:
+                state.cloud_indices[cid] = indices
+                self._cloud_states[cid].append(state)
+        return state
+
+    def _new_report(self, file: FileDownload) -> FileDownloadReport:
+        return FileDownloadReport(
+            path=file.path, size=file.size, started_at=self.sim.now
+        )
+
+    # -- transfer hooks -------------------------------------------------------
+
+    def _dispatch(self, conn: CloudAPI, task: _Task):
+        # Entry bookkeeping happens here — not inside _transfer — so
+        # another worker scanning between dispatch and the child
+        # process's first step can never double-pick the index.
+        state, index = task.state, task.index
+        state.inflight[index] = conn.cloud_id
+        state.inflight_since[index] = self.sim.now
+        if self._degrade is None:
+            yield from self._transfer(conn, task)
+        else:
+            # A killable child: a won hedge race cancels the loser.
+            proc = self.sim.process(self._transfer(conn, task))
+            state.inflight_proc[index] = proc
+            yield proc
+
+    def _request(self, conn: CloudAPI, path: str, block, ctx):
+        return (yield from conn.download(path, ctx=ctx))
+
+    def _rejects(self, conn: CloudAPI, task: _Task, block) -> bool:
+        """Silent corruption: the cloud served bytes that do not match
+        the recorded fingerprint."""
+        expected = task.state.record.block_hashes.get(task.index)
+        if (
+            expected is None
+            or not getattr(conn, "retains_content", True)
+            or block_hash(block) == expected
+        ):
+            return False
+        if METRICS.enabled:
+            METRICS.inc("corrupt_detected", cloud=conn.cloud_id)
+        return True
+
+    def _complete(self, task: _Task, cloud_id: str, block, start: float):
+        state = task.state
+        state.drop_flight(task.index, cloud_id)
+        state.blocks[task.index] = block
+        self.fetch_latencies.append(self.sim.now - start)
+        if self._degrade is not None and state.complete:
+            self._cancel_losers(state)
+
+    def _requeue(self, task: _Task, cloud_id: str) -> None:
+        # A failed, missing or corrupt block is a permanent erasure of
+        # this (index, cloud) pair for the batch: the dispatcher
+        # re-fetches a different replica.
+        task.state.drop_flight(task.index, cloud_id)
+        task.state.exhausted.add((task.index, cloud_id))
+
+    def _abandon(self, task: _Task, cloud_id: str, span) -> None:
+        # Killed mid-flight (the other side of the hedge race won):
+        # settle the books so _done() and the cursor dispatcher see a
+        # consistent world.
+        self._inflight_total -= 1
+        task.state.drop_flight(task.index, cloud_id)
+        if span is not None:
+            TRACE.end(
+                span, t=self.sim.now, error="HedgeCancelled",
+                retry_action="cancelled",
+            )
+
+    # -- hedging --------------------------------------------------------------
 
     def _next_hedge(self, cloud_id: str):
         """Find a hedge-worthy block for an otherwise idle connection.
@@ -1306,14 +1369,14 @@ class DownloadScheduler:
         ``hedge_latency_factor`` and this cloud holds a spare index of
         the same segment (any k of n reconstruct, so fetching a
         *different* index races the slow fetch).  Returns
-        ``(pick, eta)``: ``pick`` is ``(state, index)`` to dispatch now
-        or None; ``eta`` is the earliest sim time any current fetch
-        becomes hedge-eligible, letting the worker park on a timeout
-        instead of only on the progress pulse.
+        ``(task, eta)``: ``task`` is the hedge to dispatch now or None;
+        ``eta`` is the earliest sim time any current fetch becomes
+        hedge-eligible, letting the worker park on a timeout instead of
+        only on the progress pulse.
         """
         if self._hedge_budget is None:
             return None, None
-        if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
+        if self._is_dead(cloud_id):
             return None, None
         if not self._degrade.admits(cloud_id, self.sim.now):
             return None, None
@@ -1358,7 +1421,7 @@ class DownloadScheduler:
                     )
                     if METRICS.enabled:
                         METRICS.inc("hedged_fetch", cloud=cloud_id)
-                    return (state, index), None
+                    return _Task(state, index, hedge=True), None
                 if eta is None or ready_at < eta:
                     eta = ready_at
         return None, eta
@@ -1371,199 +1434,10 @@ class DownloadScheduler:
             if proc.is_alive:
                 proc.kill()
 
-    def _fetch_block(self, conn: CloudAPI, state: _SegmentDownloadState,
-                     index: int, hedge: bool = False):
-        """Fetch one block of ``state`` from ``conn``, settling all
-        scheduler bookkeeping on every exit path.
-
-        Entry bookkeeping (inflight maps, the in-flight total) is done
-        by the dispatching worker *before* this generator first runs,
-        because with degradation enabled it executes as a killable
-        child process that starts one event later.  The ``finally``
-        clause settles the books when a hedge win kills the fetch
-        mid-flight; it contains no yields, so :meth:`Process.kill`
-        runs it to completion.
-        """
-        cloud_id = conn.cloud_id
-        path = self.pipeline.block_path(state.record, index)
-        start = self.sim.now
-        span = None
-        block_ctx = None
-        if TRACE.enabled:
-            sid = TRACE.tracer.next_id()
-            attrs = _ctx_attrs(self.trace_ctx, sid)
-            if hedge:
-                attrs = {**attrs, "hedge": True}
-            span = TRACE.begin(
-                "transfer", t=start, track=cloud_id,
-                dir=DOWNLOAD, seg=state.record.segment_id[:12],
-                block=index, attempt=self._dead[cloud_id] + 1,
-                **attrs,
-            )
-            block_ctx = (attrs.get("trace_id", sid), sid)
-        settled = False
-        try:
-            try:
-                block = yield from conn.download(path, ctx=block_ctx)
-            except CloudError as exc:
-                settled = True
-                self._inflight_total -= 1
-                self._failed_requests += 1
-                state.inflight.pop(index, None)
-                state.inflight_since.pop(index, None)
-                state.inflight_proc.pop(index, None)
-                state.exhausted.add((index, cloud_id))
-                self.estimator.record_failure(
-                    cloud_id, DOWNLOAD, now=self.sim.now
-                )
-                # Classification: an unavailable cloud is dead for the
-                # batch at once (fail fast); a missing block is a
-                # deterministic per-(index, cloud) miss, not evidence
-                # the cloud died; transients count toward the threshold
-                # and pace this connection's next attempt.
-                action = self.retry.classify(exc)
-                if span is not None:
-                    TRACE.end(
-                        span, t=self.sim.now,
-                        error=type(exc).__name__, retry_action=action,
-                    )
-                if METRICS.enabled:
-                    METRICS.inc(
-                        "scheduler_redispatch",
-                        cloud=cloud_id, direction=DOWNLOAD,
-                    )
-                if TELEMETRY.enabled:
-                    if isinstance(exc, NotFoundError):
-                        # Deterministic miss: this cloud simply doesn't
-                        # hold the block (raced GC / placement) — the
-                        # dispatcher refetches another replica.  Not a
-                        # health or SLO signal.
-                        TELEMETRY.missing_block(cloud_id, self.sim.now)
-                    else:
-                        TELEMETRY.transfer(
-                            cloud_id, self.sim.now, False, 0, DOWNLOAD,
-                            tenant=self.tenant, retry_action=action,
-                        )
-                if self._degrade is not None and not isinstance(
-                    exc, NotFoundError
-                ):
-                    self._degrade.on_failure(
-                        cloud_id, self.sim.now,
-                        fatal=action is not RETRY,
-                    )
-                if action is not RETRY and not isinstance(exc, NotFoundError):
-                    self._dead[cloud_id] = max(
-                        self._dead[cloud_id],
-                        self.config.cloud_failure_threshold,
-                    )
-                else:
-                    self._dead[cloud_id] += 1
-                self._pulse()
-                if (action is RETRY and self._dead[cloud_id]
-                        < self.config.cloud_failure_threshold):
-                    delay = self.retry.backoff(
-                        self._dead[cloud_id] - 1, self.rng
-                    )
-                    if delay > 0:
-                        wait = (
-                            TRACE.begin(
-                                "retry_wait", t=self.sim.now,
-                                track=cloud_id, dir=DOWNLOAD,
-                                attempt=self._dead[cloud_id],
-                            )
-                            if TRACE.enabled
-                            else None
-                        )
-                        yield self.sim.timeout(delay)
-                        if wait is not None:
-                            TRACE.end(wait, t=self.sim.now)
-                return
-            settled = True
-            self._inflight_total -= 1
-            state.inflight_since.pop(index, None)
-            state.inflight_proc.pop(index, None)
-            expected = state.record.block_hashes.get(index)
-            if (
-                expected is not None
-                and getattr(conn, "retains_content", True)
-                and block_hash(block) != expected
-            ):
-                # Silent corruption: the cloud served bytes that do not
-                # match the recorded fingerprint.  Treat exactly like a
-                # deterministic per-(index, cloud) miss — mark the pair
-                # exhausted (a permanent erasure for this batch) so the
-                # dispatcher re-fetches a different replica.
-                self._failed_requests += 1
-                state.inflight.pop(index, None)
-                state.exhausted.add((index, cloud_id))
-                self._dead[cloud_id] += 1
-                if span is not None:
-                    TRACE.end(
-                        span, t=self.sim.now, bytes=len(block),
-                        error="CorruptBlock", retry_action="give-up",
-                    )
-                if METRICS.enabled:
-                    METRICS.inc("corrupt_detected", cloud=cloud_id)
-                    METRICS.inc(
-                        "scheduler_redispatch",
-                        cloud=cloud_id, direction=DOWNLOAD,
-                    )
-                if TELEMETRY.enabled:
-                    TELEMETRY.transfer(
-                        cloud_id, self.sim.now, False, 0, DOWNLOAD,
-                        tenant=self.tenant, retry_action="give-up",
-                    )
-                if self._degrade is not None:
-                    self._degrade.on_failure(cloud_id, self.sim.now)
-                self._pulse()
-                return
-            self._dead[cloud_id] = 0
-            if self._degrade is not None:
-                self._degrade.on_success(cloud_id, self.sim.now)
-            self.estimator.record(
-                cloud_id, DOWNLOAD, len(block), self.sim.now - start,
-                now=self.sim.now,
-            )
-            if span is not None:
-                TRACE.end(span, t=self.sim.now, bytes=len(block))
-            if METRICS.enabled:
-                _record_block_metrics(
-                    self.estimator, conn, cloud_id, DOWNLOAD,
-                    len(block), True, self.sim.now,
-                )
-            if TELEMETRY.enabled:
-                TELEMETRY.transfer(
-                    cloud_id, self.sim.now, True, len(block), DOWNLOAD,
-                    tenant=self.tenant,
-                )
-                _telemetry_estimator(
-                    self.estimator, conn, cloud_id, DOWNLOAD, self.sim.now
-                )
-            state.inflight.pop(index, None)
-            state.blocks[index] = block
-            self.fetch_latencies.append(self.sim.now - start)
-            self._note_block_completed(state)
-            if self._degrade is not None and state.complete:
-                self._cancel_losers(state)
-            self._pulse()
-        finally:
-            if not settled:
-                # Killed mid-flight (the other side of the hedge race
-                # won): settle the books so _done() and the cursor
-                # dispatcher see a consistent world.
-                self._inflight_total -= 1
-                if state.inflight.get(index) == cloud_id:
-                    state.inflight.pop(index, None)
-                state.inflight_since.pop(index, None)
-                state.inflight_proc.pop(index, None)
-                if span is not None:
-                    TRACE.end(
-                        span, t=self.sim.now, error="HedgeCancelled",
-                        retry_action="cancelled",
-                    )
+    # -- dispatch policy ----------------------------------------------------
 
     def _next_request(self, cloud_id: str):
-        """Pick the next (state, block index) for an idle connection.
+        """Pick the next block (a :class:`_Task`) for an idle connection.
 
         Dynamic mode walks this cloud's own candidate list (only the
         segments it holds blocks of) from a cursor that permanently
@@ -1573,17 +1447,11 @@ class DownloadScheduler:
         they can become requestable again.  The static baseline keeps
         the reference file-gated scan.
         """
-        if self._aborted:
-            return None
-        if self._degrade is not None and not self._degrade.admits(
-            cloud_id, self.sim.now
-        ):
-            # Breaker open or scoreboard-pinned unavailable: no regular
-            # dispatch; bounded half-open probes pass through admits().
+        if not self._admits(cloud_id):
             return None
         if not self.dynamic:
             return self._next_request_reference(cloud_id)
-        if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
+        if self._is_dead(cloud_id):
             return None
         states = self._cloud_states[cloud_id]
         count = len(states)
@@ -1611,14 +1479,14 @@ class DownloadScheduler:
             if self._defer_to_faster(state, cloud_id):
                 advancing = False
                 continue
-            return (state, index)
+            return _Task(state, index)
         return None
 
     def _next_request_reference(self, cloud_id: str):
         """The original O(files x segments) scan — the executable
         specification the cursor dispatcher must match (the equivalence
         tests swap it in), and still the static baseline's path."""
-        if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
+        if self._is_dead(cloud_id):
             return None
         for file in self._files:
             for state in self._file_segments[file.path]:
@@ -1630,7 +1498,7 @@ class DownloadScheduler:
                     continue
                 if self.dynamic and self._defer_to_faster(state, cloud_id):
                     continue
-                return (state, index)
+                return _Task(state, index)
             if not self.dynamic:
                 # Static baseline: strictly finish this file first.
                 if not all(
@@ -1657,41 +1525,8 @@ class DownloadScheduler:
                 continue
             if (index, holder) in state.exhausted:
                 continue
-            if self._dead.get(holder, 0) >= self.config.cloud_failure_threshold:
+            if self._is_dead(holder):
                 continue
             if self.estimator.estimate(holder, DOWNLOAD) > mine:
                 faster_supply += 1
         return faster_supply >= needed
-
-    def _note_block_completed(self, state: _SegmentDownloadState) -> None:
-        """Incremental completion stamping (replaces the per-block full
-        rescan): segment completion is monotone, so per-file countdowns
-        through the segment->files index suffice."""
-        now = self.sim.now
-        if self._complete_flush:
-            # Zero-segment files are vacuously complete; stamp them at
-            # the first progress check, as the full rescan used to.
-            for path in self._complete_flush:
-                report = self._reports[path]
-                if report.completed_at is None:
-                    report.completed_at = now
-            self._complete_flush = []
-        if not state.counted_complete and state.complete:
-            state.counted_complete = True
-            for path in self._state_files[state.record.segment_id]:
-                self._pending_complete[path] -= 1
-                if self._pending_complete[path] == 0:
-                    report = self._reports[path]
-                    if report.completed_at is None:
-                        report.completed_at = now
-
-    def _done(self) -> bool:
-        if self._inflight_total > 0:
-            return False
-        return all(
-            self._next_request(c.cloud_id) is None for c in self.connections
-        )
-
-    def _pulse(self) -> None:
-        wake, self._wake = self._wake, self.sim.event()
-        wake.succeed()

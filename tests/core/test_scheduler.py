@@ -297,6 +297,30 @@ def test_scheduler_requires_connections():
         DownloadScheduler(sim, [], pipeline, CONFIG)
 
 
+@pytest.mark.parametrize("scheduler_cls", [UploadScheduler, DownloadScheduler])
+def test_abort_before_run_batch_sticks(scheduler_cls):
+    """An abort before run_batch means the same in both directions: the
+    batch returns at once with nothing sent."""
+    sim, clouds, conns, pipeline = make_env()
+    file, _ = make_file(pipeline)
+    files = [file]
+    if scheduler_cls is DownloadScheduler:
+        run_upload(sim, UploadScheduler(sim, conns, pipeline, CONFIG), files)
+        files = [FileDownload("/f.bin", [r for r, _ in file.segments])]
+    scheduler = scheduler_cls(sim, conns, pipeline, CONFIG)
+    scheduler.abort()
+    requests = sum(conn.traffic.requests for conn in conns)
+    started = sim.now
+    batch = sim.run_process(scheduler.run_batch(files))
+    assert batch.finished_at == started
+    assert sum(conn.traffic.requests for conn in conns) == requests
+    report = batch.report_for("/f.bin")
+    if scheduler_cls is UploadScheduler:
+        assert report.available_at is None
+    else:
+        assert report.completed_at is None and report.content is None
+
+
 def test_shared_segment_uploaded_once():
     """Two files with identical content share segment upload work."""
     sim, clouds, conns, pipeline = make_env()

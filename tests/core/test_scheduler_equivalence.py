@@ -15,6 +15,7 @@ from repro.cloud import CloudConnection, SimulatedCloud
 from repro.cloud.errors import NotFoundError
 from repro.core.config import UniDriveConfig
 from repro.core.pipeline import BlockPipeline
+from repro.core.placement import fair_share_assignment
 from repro.core.probing import ThroughputEstimator
 from repro.core.scheduler import (
     DownloadScheduler,
@@ -99,19 +100,23 @@ def upload_snapshot(batch, files, clouds):
 
 
 def run_upload_scenario(reference, up_speeds, failure_rates=None,
-                        kill_cloud=None, over_provision=True, seed=0):
+                        kill_cloud=None, over_provision=True, seed=0,
+                        resume=None):
+    """``resume``, if given, maps the batch's files to the journal of
+    blocks a crashed earlier round already landed."""
     sim, clouds, conns, pipeline = make_env(
         up_speeds, failure_rates, seed=seed
     )
     if kill_cloud is not None:
         clouds[kill_cloud].set_available(False)
+    files = make_batch(pipeline)
     scheduler = UploadScheduler(
         sim, conns, pipeline, CONFIG, estimator=ThroughputEstimator(),
         over_provision=over_provision,
+        resume=None if resume is None else resume(files),
     )
     if reference:
         scheduler._next_task = scheduler._next_task_reference
-    files = make_batch(pipeline)
     batch = sim.run_process(scheduler.run_batch(files))
     return upload_snapshot(batch, files, clouds), scheduler
 
@@ -155,6 +160,45 @@ def test_upload_equivalence_dead_cloud():
     )
     degraded = [r[5] for r in snapshot["reports"]]
     assert any(degraded)  # the abandon/degraded path was exercised
+
+
+def crashed_round_journal(files):
+    """/f0 landed every fair share before the crash; /f1's first
+    segment landed one block on its assignee and one (assigned to
+    cloud1) on cloud2, as a degraded round dispatches it."""
+    cloud_ids = [f"cloud{i}" for i in range(N_CLOUDS)]
+    journal = {}
+    for record, _ in files[0].segments:
+        assignment = fair_share_assignment(
+            cloud_ids, record.k, CONFIG.k_reliability
+        )
+        journal[record.segment_id] = {
+            index: cid for cid, indices in assignment.items()
+            for index in indices
+        }
+    record = files[1].segments[0][0]
+    assignment = fair_share_assignment(
+        cloud_ids, record.k, CONFIG.k_reliability
+    )
+    journal[record.segment_id] = {
+        assignment["cloud0"][0]: "cloud0",
+        assignment["cloud1"][0]: "cloud2",
+    }
+    return journal
+
+
+def test_upload_equivalence_journal_resume():
+    snapshot = assert_upload_equivalent(
+        up_speeds=[20, 10, 10, 5, 5], resume=crashed_round_journal, seed=6
+    )
+    started = snapshot["batch"][0]
+    reports = {r[0]: r for r in snapshot["reports"]}
+    # Fully preseeded files are credited at batch start, not re-sent.
+    for path in ("/f0", "/dup"):
+        assert reports[path][3] == started  # available_at
+        assert reports[path][4] == started  # reliable_at
+        assert all(count == 0 for _cid, count in reports[path][6])
+    assert reports["/f1"][3] > started
 
 
 def download_snapshot(batch):
